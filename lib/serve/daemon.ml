@@ -32,7 +32,11 @@ type job = {
   client : string;
   name : string;
   dir : string;
-  plan : Campaign.plan;
+  mutable plan : Campaign.plan option;
+      (* dropped once terminal: its cells' closures hold the grid's
+         graph memo *)
+  reused : int;
+  corrupted : int;
   total : int;
   of_ : int;  (* cells to execute this submission, [p_pending] at admission *)
   started_at : float;
@@ -61,6 +65,7 @@ type t = {
   cond : Condition.t;
   jobs : (string, job) Hashtbl.t;
   mutable order : string list;  (* submission order: round-robin + stats *)
+  mutable turn : int;  (* batches taken: rotates the job served first *)
   mutable reserved : reservation list;
   mutable seq : int;
   mutable stop : bool;
@@ -117,28 +122,36 @@ let job_fields job =
     ("done", Json.Int job.done_cells);
     ("ran", Json.Int job.ran);
     ("cached", Json.Int job.cached);
-    ("reused", Json.Int job.plan.Campaign.p_reused);
-    ("corrupted", Json.Int (List.length job.plan.Campaign.p_corrupt));
+    ("reused", Json.Int job.reused);
+    ("corrupted", Json.Int job.corrupted);
     ("remaining", Json.Int (job.of_ - job.done_cells));
     ( "manifest",
       match job.manifest with Some p -> Json.String p | None -> Json.Null );
   ]
   @ match job.error with Some m -> [ ("error", Json.String m) ] | None -> []
 
+(* The plan of a job that is not terminal. *)
+let plan_of job =
+  match job.plan with
+  | Some plan -> plan
+  | None -> invalid_arg ("Daemon: job " ^ job.id ^ " has released its plan")
+
 (* Transition a job whose work has drained (or been cleared) to its
-   terminal state, emit the Finished event and release its event log. *)
+   terminal state, emit the Finished event and release its event log
+   and its plan. *)
 let maybe_finish job =
   if (not (terminal job.state)) && job.queue = [] && job.inflight = 0 then begin
-    let remaining = Campaign.remaining job.plan in
-    let manifest = if remaining = 0 then Campaign.finalize job.plan else None in
+    let plan = plan_of job in
+    let remaining = Campaign.remaining plan in
+    let manifest = if remaining = 0 then Campaign.finalize plan else None in
     job.manifest <- manifest;
     emit job
       (Campaign.Finished
          {
            ran = job.ran;
            cached = job.cached;
-           reused = job.plan.Campaign.p_reused;
-           corrupted = List.length job.plan.Campaign.p_corrupt;
+           reused = job.reused;
+           corrupted = job.corrupted;
            remaining;
            manifest;
          });
@@ -149,6 +162,7 @@ let maybe_finish job =
         if manifest <> None then Done
         else if job.cancelled then Cancelled
         else Failed "campaign incomplete");
+    job.plan <- None;
     Eventlog.close job.log
   end
 
@@ -163,14 +177,26 @@ let promote t =
       end)
 
 (* One cell per running job per pass, repeating until the batch is full
-   or every queue is dry: a long campaign cannot starve a short one. *)
+   or every queue is dry: a long campaign cannot starve a short one.
+   Each batch starts its passes one running job further along, so even
+   one-cell batches (a one-domain pool) serve every job in turn. *)
 let take_batch t limit =
+  let running = ref [] in
+  iter_jobs t (fun job -> if job.state = Running then running := job :: !running);
+  let running = List.rev !running in
+  let start = t.turn mod max 1 (List.length running) in
+  t.turn <- t.turn + 1;
+  let running =
+    List.filteri (fun i _ -> i >= start) running
+    @ List.filteri (fun i _ -> i < start) running
+  in
   let acc = ref [] and count = ref 0 in
   let progressed = ref true in
   while !count < limit && !progressed do
     progressed := false;
-    iter_jobs t (fun job ->
-        if !count < limit && job.state = Running then
+    List.iter
+      (fun job ->
+        if !count < limit then
           match job.queue with
           | [] -> ()
           | c :: rest ->
@@ -179,6 +205,7 @@ let take_batch t limit =
             acc := (job, c) :: !acc;
             incr count;
             progressed := true)
+      running
   done;
   Array.of_list (List.rev !acc)
 
@@ -234,7 +261,7 @@ let scheduler t =
         Pool.run t.pool ~n:(Array.length batch) (fun i ->
             let job, cell = batch.(i) in
             outcomes.(i) <-
-              (try Ok (Campaign.execute_cell job.plan cell)
+              (try Ok (Campaign.execute_cell (plan_of job) cell)
                with exn -> Error (Printexc.to_string exn)));
         Mutex.lock t.mu;
         Array.iteri (fun i (job, cell) -> record job cell outcomes.(i)) batch;
@@ -347,7 +374,9 @@ let submit t (s : Protocol.submit) =
               client = s.Protocol.client;
               name = grid.Sweep.Grid.name;
               dir;
-              plan;
+              plan = Some plan;
+              reused = plan.Campaign.p_reused;
+              corrupted = List.length plan.Campaign.p_corrupt;
               total = n_cells;
               of_ = List.length pending;
               started_at = Unix.gettimeofday ();
@@ -544,10 +573,15 @@ let handle t fd =
       | exception End_of_file -> ()
       | exception Sys_error _ -> ()
       | line -> (
+        (* Decoding is total: whatever the line holds, the client gets
+           a typed reply rather than a dropped connection. *)
         let req =
-          match Json.of_string line with
-          | Error e -> Error (Printf.sprintf "request is not JSON: %s" e)
-          | Ok doc -> Protocol.request_of_json doc
+          try
+            match Json.of_string line with
+            | Error e -> Error (Printf.sprintf "request is not JSON: %s" e)
+            | Ok doc -> Protocol.request_of_json doc
+          with exn ->
+            Error (Printf.sprintf "malformed request: %s" (Printexc.to_string exn))
         in
         match req with
         | Error msg -> send oc (Protocol.error_response Protocol.Bad_request msg)
@@ -627,6 +661,7 @@ let run config =
           cond = Condition.create ();
           jobs = Hashtbl.create 16;
           order = [];
+          turn = 0;
           reserved = [];
           seq = 0;
           stop = false;

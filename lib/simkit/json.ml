@@ -186,14 +186,13 @@ let parse_number p =
   let is_integral =
     not (String.exists (fun c -> c = '.' || c = 'e' || c = 'E') text)
   in
-  if is_integral then
-    match int_of_string_opt text with
-    | Some i -> Int i
-    | None -> Float (float_of_string text)
-  else
+  match (if is_integral then int_of_string_opt text else None) with
+  | Some i -> Int i
+  | None -> (
+    (* Integral text past the int range still reads as a float. *)
     match float_of_string_opt text with
     | Some f -> Float f
-    | None -> fail_at p "malformed number"
+    | None -> fail_at p "malformed number")
 
 let rec parse_value p =
   skip_ws p;

@@ -283,80 +283,194 @@ let params_meta ?(engine = `Scalar) ?(backend = `Heap) trials base =
       ("cap", (match base.K.cap with Some c -> Json.Int c | None -> Json.Null));
     ])
 
+(* ---------- the graph memo ----------
+
+   A cell's graph is a pure function of (spec, backend, master): it is
+   built from the stream tagged ["sweep:graph:" ^ spec], which no trial
+   stream ([salt + i]) shares. So the cells of one [cells] call share a
+   memo: concurrent cells of one key wait for a single build (views are
+   immutable and safe to share across domains), and the graph released
+   last stays parked for the next cell. The memo retains only the
+   graphs running cells hold plus that one parked graph; it lives in the
+   cells' closures and dies with the cell list. *)
+
+type key = string * Graph.View.backend * int
+
+type slot =
+  | Building
+  | Built of (Graph.View.t, string) result
+  | Raised of exn * Printexc.raw_backtrace
+
+type entry = { mutable slot : slot; mutable users : int }
+
+type memo = {
+  lock : Mutex.t;
+  settled : Condition.t;
+  live : (key, entry) Hashtbl.t;  (* keys some running cell holds *)
+  mutable parked : (key * Graph.View.t) option;
+}
+
+(* Process-wide count of graph builds, for observation only: the memo
+   never reads it. *)
+let builds = Atomic.make 0
+
+let graph_builds () = Atomic.get builds
+
+let create_memo () =
+  {
+    lock = Mutex.create ();
+    settled = Condition.create ();
+    live = Hashtbl.create 4;
+    parked = None;
+  }
+
+let build_graph ((spec_str, backend, master) : key) spec =
+  Atomic.incr builds;
+  let grng = Simkit.Seeds.tagged_rng ~master ~tag:("sweep:graph:" ^ spec_str) in
+  Graph.Spec.build_view spec ~backend grng
+
+(* Hold [key]'s entry once its slot is settled. The first holder takes
+   the parked graph or builds it with the lock released; later holders
+   wait until the slot leaves [Building]. *)
+let acquire memo key build =
+  Mutex.lock memo.lock;
+  let entry, builder =
+    match Hashtbl.find_opt memo.live key with
+    | Some e ->
+      e.users <- e.users + 1;
+      (e, false)
+    | None ->
+      let slot, builder =
+        match memo.parked with
+        | Some (k, g) when k = key ->
+          memo.parked <- None;
+          (Built (Ok g), false)
+        | _ -> (Building, true)
+      in
+      let e = { slot; users = 1 } in
+      Hashtbl.replace memo.live key e;
+      (e, builder)
+  in
+  if builder then begin
+    Mutex.unlock memo.lock;
+    let slot =
+      match build () with
+      | r -> Built r
+      | exception exn -> Raised (exn, Printexc.get_raw_backtrace ())
+    in
+    Mutex.lock memo.lock;
+    entry.slot <- slot;
+    Condition.broadcast memo.settled
+  end
+  else
+    while (match entry.slot with Building -> true | _ -> false) do
+      Condition.wait memo.settled memo.lock
+    done;
+  Mutex.unlock memo.lock;
+  entry
+
+(* The last holder of a key parks its graph, dropping the one parked
+   before; a failed build is dropped. *)
+let release memo key entry =
+  Mutex.lock memo.lock;
+  entry.users <- entry.users - 1;
+  if entry.users = 0 then begin
+    Hashtbl.remove memo.live key;
+    match entry.slot with
+    | Built (Ok g) -> memo.parked <- Some (key, g)
+    | Built (Error _) | Raised _ | Building -> ()
+  end;
+  Mutex.unlock memo.lock
+
+let with_graph memo key ~build f =
+  let entry = acquire memo key build in
+  Fun.protect
+    ~finally:(fun () -> release memo key entry)
+    (fun () ->
+      match entry.slot with
+      | Built r -> f r
+      | Raised (exn, bt) -> Printexc.raise_with_backtrace exn bt
+      | Building -> assert false)
+
 (* One cell's payload: [trials] kernel runs on the streams
    [salt + 0 .. salt + trials - 1] — pure in [(master, salt)], which is
    what makes checkpoints reusable across interrupted runs. The engine
    only changes how those trials execute ([Kernels.run_trials]);
    aggregation walks the outcomes in trial order either way, so the
    scalar path reproduces the historical per-trial loop draw-for-draw. *)
-let run_cell ~spec ~kernel ~branching ~trials ~base ~engine ~backend ~address
-    ~master ~salt =
+let cell_payload ~spec_str ~kernel ~branching ~trials ~base ~engine ~master ~salt g =
+  let params = { base with K.branching } in
+  let completed = ref 0 in
+  let rounds = Stats.Summary.create () in
+  let obs_keys = ref [] in
+  let obs : (string, Stats.Summary.t) Hashtbl.t = Hashtbl.create 8 in
+  let outcomes =
+    Kernels.run_trials ~engine kernel g params ~trials ~master ~salt0:salt
+  in
+  Array.iter
+    (fun o ->
+      if o.K.completed then begin
+        incr completed;
+        Stats.Summary.add_int rounds o.K.rounds
+      end;
+      List.iter
+        (fun (key, v) ->
+          let s =
+            match Hashtbl.find_opt obs key with
+            | Some s -> s
+            | None ->
+              let s = Stats.Summary.create () in
+              Hashtbl.add obs key s;
+              obs_keys := key :: !obs_keys;
+              s
+          in
+          Stats.Summary.add s v)
+        o.K.observations)
+    outcomes;
+  let rounds_json =
+    if !completed = 0 then Json.Null
+    else
+      Json.Obj
+        [
+          ("mean", Json.Float (Stats.Summary.mean rounds));
+          ("min", Json.Float (Stats.Summary.min rounds));
+          ("max", Json.Float (Stats.Summary.max rounds));
+          ( "sd",
+            Json.Float
+              (if Stats.Summary.count rounds >= 2 then Stats.Summary.stddev rounds
+               else 0.0) );
+        ]
+  in
+  let obs_json =
+    List.sort compare !obs_keys
+    |> List.map (fun key ->
+           (key, Json.Float (Stats.Summary.mean (Hashtbl.find obs key))))
+  in
+  Json.Obj
+    [
+      ("graph", Json.String spec_str);
+      ("n", Json.Int (Graph.View.n_vertices g));
+      ("kernel", Json.String kernel.K.name);
+      ("branching", Json.String (Cobra.Branching.to_arg branching));
+      ("trials", Json.Int trials);
+      ("completed", Json.Int !completed);
+      ("censored", Json.Int (trials - !completed));
+      ("rounds", rounds_json);
+      ("observations", Json.Obj obs_json);
+    ]
+
+let run_cell memo ~spec ~kernel ~branching ~trials ~base ~engine ~backend
+    ~address ~master ~salt =
   let spec_str = Graph.Spec.to_string spec in
-  let grng = Simkit.Seeds.tagged_rng ~master ~tag:("sweep:graph:" ^ spec_str) in
-  match Graph.Spec.build_view spec ~backend grng with
-  | Error msg -> failwith (Printf.sprintf "%s: graph build failed: %s" address msg)
-  | Ok g ->
-    let params = { base with K.branching } in
-    let completed = ref 0 in
-    let rounds = Stats.Summary.create () in
-    let obs_keys = ref [] in
-    let obs : (string, Stats.Summary.t) Hashtbl.t = Hashtbl.create 8 in
-    let outcomes =
-      Kernels.run_trials ~engine kernel g params ~trials ~master ~salt0:salt
-    in
-    Array.iter
-      (fun o ->
-        if o.K.completed then begin
-          incr completed;
-          Stats.Summary.add_int rounds o.K.rounds
-        end;
-        List.iter
-          (fun (key, v) ->
-            let s =
-              match Hashtbl.find_opt obs key with
-              | Some s -> s
-              | None ->
-                let s = Stats.Summary.create () in
-                Hashtbl.add obs key s;
-                obs_keys := key :: !obs_keys;
-                s
-            in
-            Stats.Summary.add s v)
-          o.K.observations)
-      outcomes;
-    let rounds_json =
-      if !completed = 0 then Json.Null
-      else
-        Json.Obj
-          [
-            ("mean", Json.Float (Stats.Summary.mean rounds));
-            ("min", Json.Float (Stats.Summary.min rounds));
-            ("max", Json.Float (Stats.Summary.max rounds));
-            ( "sd",
-              Json.Float
-                (if Stats.Summary.count rounds >= 2 then Stats.Summary.stddev rounds
-                 else 0.0) );
-          ]
-    in
-    let obs_json =
-      List.sort compare !obs_keys
-      |> List.map (fun key ->
-             (key, Json.Float (Stats.Summary.mean (Hashtbl.find obs key))))
-    in
-    Json.Obj
-      [
-        ("graph", Json.String spec_str);
-        ("n", Json.Int (Graph.View.n_vertices g));
-        ("kernel", Json.String kernel.K.name);
-        ("branching", Json.String (Cobra.Branching.to_arg branching));
-        ("trials", Json.Int trials);
-        ("completed", Json.Int !completed);
-        ("censored", Json.Int (trials - !completed));
-        ("rounds", rounds_json);
-        ("observations", Json.Obj obs_json);
-      ]
+  let key = (spec_str, backend, master) in
+  with_graph memo key ~build:(fun () -> build_graph key spec) (function
+    | Error msg -> failwith (Printf.sprintf "%s: graph build failed: %s" address msg)
+    | Ok g ->
+      cell_payload ~spec_str ~kernel ~branching ~trials ~base ~engine ~master
+        ~salt g)
 
 let cells grid =
+  let memo = create_memo () in
   let cells = ref [] in
   let index = ref 0 in
   List.iter
@@ -394,7 +508,7 @@ let cells grid =
                   meta;
                   run =
                     (fun ~master ~salt ->
-                      run_cell ~spec ~kernel ~branching ~trials:grid.trials
+                      run_cell memo ~spec ~kernel ~branching ~trials:grid.trials
                         ~base:grid.base ~engine:grid.engine
                         ~backend:grid.backend ~address ~master ~salt);
                 }

@@ -11,6 +11,17 @@
     same graph), then runs [trials] kernel trials on the streams
     [salt + 0 .. salt + trials - 1].
 
+    The cells of one {!cells} call share a graph memo keyed by
+    [(spec, backend, master)]: cells of one spec share one build, and
+    concurrent cells of a key wait for that build rather than repeat
+    it. The memo retains the graphs running cells hold plus one parked
+    graph, the one released last, so a campaign (whose cells of one
+    spec are contiguous) builds each spec once on one domain and holds
+    at most one graph more than it runs on. It lives in the cells'
+    closures and is freed with the cell list. A failed build fails
+    every cell waiting on it with the same
+    ["<address>: graph build failed: ..."] message a lone build gives.
+
     Grids are written as JSON documents (schema {!schema}) or as inline
     [key=value;...] strings; {!load} accepts either (a path that exists
     on disk is parsed as a file). *)
@@ -64,3 +75,8 @@ val load : string -> (t, string) result
 (** [cells grid] expands the grid into campaign cells (addresses unique,
     indices positional). *)
 val cells : t -> Simkit.Campaign.cell list
+
+(** [graph_builds ()] counts the graphs built by cells since the
+    process started, across every cell list: a read-only observation of
+    the memo's effect. *)
+val graph_builds : unit -> int

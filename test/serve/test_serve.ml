@@ -394,6 +394,161 @@ let test_cancel_and_status () =
           check Alcotest.int "status reports all cells" n_cells
             (int_field doc "done")))
 
+(* A request line written straight to the socket, for lines no
+   [Protocol.request] can produce; returns the reply line, or [None]
+   when the daemon closes without one. *)
+let raw_request ~socket line =
+  let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Unix.connect fd (Unix.ADDR_UNIX socket);
+  let ic = Unix.in_channel_of_descr fd and oc = Unix.out_channel_of_descr fd in
+  Fun.protect
+    ~finally:(fun () -> close_in_noerr ic)
+    (fun () ->
+      output_string oc (line ^ "\n");
+      flush oc;
+      try Some (input_line ic) with End_of_file -> None)
+
+let test_malformed_lines_get_bad_request () =
+  with_daemon (fun ~socket ~dir:_ ->
+      List.iter
+        (fun line ->
+          match raw_request ~socket line with
+          | None -> Alcotest.failf "%S: connection dropped without a reply" line
+          | Some reply -> (
+            match Json.of_string reply with
+            | Error msg -> Alcotest.failf "%S: reply is not JSON: %s" line msg
+            | Ok doc -> (
+              match Protocol.response_error doc with
+              | Some (Protocol.Bad_request, _) -> ()
+              | _ -> Alcotest.failf "%S: expected bad-request, got %s" line reply)))
+        [ "-"; {|{"op":-}|}; "+"; "{"; "" ];
+      (* The daemon still serves well-formed requests afterwards. *)
+      match Client.request ~socket Protocol.Stats with
+      | Ok _ -> ()
+      | Error msg -> Alcotest.fail msg)
+
+(* A finished job's status reply, pinned byte-for-byte: the daemon drops
+   a job's plan when it finishes, and the reused and corrupted counts it
+   reports must not move with it. The job resumes a campaign with one
+   good and one corrupt checkpoint (whose bytes are ["-"]). *)
+let test_finished_status_bytes () =
+  with_daemon (fun ~socket ~dir ->
+      let out = Filename.concat dir "resumed" in
+      let cells =
+        match Sweep.Grid.of_inline grid with
+        | Ok g -> Sweep.Grid.cells g
+        | Error msg -> Alcotest.fail msg
+      in
+      (match
+         Simkit.Campaign.run
+           {
+             Simkit.Campaign.dir = out;
+             master = 9;
+             resume = false;
+             max_cells = Some 2;
+             domains = Some 1;
+             cache = None;
+             progress = ignore;
+           }
+           ~name:"serve" ~cells
+       with
+      | Ok _ -> ()
+      | Error msg -> Alcotest.fail msg);
+      let oc = open_out_bin (Filename.concat out "cells/cell_00001.json") in
+      output_string oc "-";
+      close_out oc;
+      let job, final, _ = submit_and_watch ~socket ~out ~resume:true () in
+      let real = Unix.realpath out in
+      let expected =
+        Json.to_string
+          (Protocol.ok_response
+             [
+               ("job", Json.String job);
+               ("client", Json.String "tester");
+               ("campaign", Json.String "serve");
+               ("dir", Json.String real);
+               ("status", Json.String "done");
+               ("total", Json.Int n_cells);
+               ("pending", Json.Int 3);
+               ("done", Json.Int 3);
+               ("ran", Json.Int 3);
+               ("cached", Json.Int 0);
+               ("reused", Json.Int 1);
+               ("corrupted", Json.Int 1);
+               ("remaining", Json.Int 0);
+               ("manifest", Json.String (Filename.concat real "manifest.json"));
+             ])
+      in
+      check Alcotest.string "final watch reply" expected (Json.to_string final);
+      (* Later status calls, after the job released its plan, agree. *)
+      match Client.request ~socket (Protocol.Status { job }) with
+      | Error msg -> Alcotest.fail msg
+      | Ok doc -> check Alcotest.string "status reply" expected (Json.to_string doc))
+
+let stats_jobs ~socket =
+  match Client.request ~socket Protocol.Stats with
+  | Error msg -> Alcotest.fail msg
+  | Ok doc -> (
+    match Json.member "jobs" doc with
+    | Some (Json.List jobs) -> jobs
+    | _ -> Alcotest.fail "stats has no jobs list")
+
+(* At one domain every batch holds one cell. Two concurrent jobs must
+   both make progress before either finishes: a job submitted second is
+   not parked behind the first one's whole queue. *)
+let test_one_domain_jobs_interleave () =
+  with_daemon
+    ~config:(fun c -> { c with Daemon.domains = Some 1 })
+    (fun ~socket ~dir ->
+      let big =
+        "name=fair;graphs=cycle:48,cycle:64,cycle:80,cycle:96;\
+         kernels=cobra,bips,sis,push,pull,coalesce;trials=40"
+      in
+      let submit name master =
+        match
+          Client.submit ~socket
+            {
+              Protocol.client = name;
+              grid = `Inline big;
+              out = Filename.concat dir name;
+              master;
+              resume = false;
+            }
+        with
+        | Ok job -> job
+        | Error msg -> Alcotest.fail msg
+      in
+      let a = submit "a" 1 in
+      let b = submit "b" 2 in
+      let snapshot () =
+        let jobs = stats_jobs ~socket in
+        let find id =
+          match List.find_opt (fun j -> str_field j "job" = id) jobs with
+          | Some j -> (int_field j "done", str_field j "status")
+          | None -> Alcotest.failf "stats lost job %s" id
+        in
+        (find a, find b)
+      in
+      let running s = s = "queued" || s = "running" in
+      let rec poll () =
+        let ((done_a, st_a), (done_b, st_b)) as snap = snapshot () in
+        if (done_a > 0 && done_b > 0) || not (running st_a && running st_b) then
+          snap
+        else (Thread.delay 0.002; poll ())
+      in
+      let (done_a, st_a), (done_b, st_b) = poll () in
+      check Alcotest.bool
+        (Printf.sprintf "both jobs progress before either finishes (a: %d %s, b: %d %s)"
+           done_a st_a done_b st_b)
+        true
+        (done_a > 0 && done_b > 0 && running st_a && running st_b);
+      List.iter
+        (fun job ->
+          match Client.watch ~socket ~job ignore with
+          | Ok final -> check Alcotest.string "job done" "done" (str_field final "status")
+          | Error msg -> Alcotest.fail msg)
+        [ a; b ])
+
 let () =
   Alcotest.run "serve"
     [
@@ -421,5 +576,11 @@ let () =
           Alcotest.test_case "reused directory without resume is refused"
             `Quick test_resume_without_flag_is_refused;
           Alcotest.test_case "cancel and status" `Quick test_cancel_and_status;
+          Alcotest.test_case "malformed lines get bad-request" `Quick
+            test_malformed_lines_get_bad_request;
+          Alcotest.test_case "finished job status is byte-stable" `Quick
+            test_finished_status_bytes;
+          Alcotest.test_case "one-domain jobs interleave" `Quick
+            test_one_domain_jobs_interleave;
         ] );
     ]

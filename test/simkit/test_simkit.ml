@@ -380,7 +380,17 @@ let test_json_parse_forms () =
   check Alcotest.bool "unterminated rejected" true
     (Result.is_error (Json.of_string "[1, 2"));
   check Alcotest.bool "bad literal rejected" true
-    (Result.is_error (Json.of_string "flase"))
+    (Result.is_error (Json.of_string "flase"));
+  (* Number-shaped tokens that are not numbers come back as [Error],
+     never as an escaping [Failure] from the float conversion. *)
+  List.iter
+    (fun s ->
+      check Alcotest.bool (Printf.sprintf "%S rejected" s) true
+        (Result.is_error (Json.of_string s)))
+    [ "-"; "+"; "-e"; "1e"; "--1"; {|{"a":-}|}; {|{"op":-}|}; "[+]" ];
+  check Alcotest.bool "integral text past the int range reads as a float" true
+    (Json.of_string "123456789012345678901234567890"
+    = Ok (Json.Float 123456789012345678901234567890.))
 
 let test_json_accessors () =
   check Alcotest.bool "member" true

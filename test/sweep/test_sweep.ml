@@ -1264,6 +1264,170 @@ let test_resume_refuses_changed_backend () =
       (";backend=bigarray", ";backend=implicit");
     ]
 
+(* ---------- the graph memo ----------
+
+   The cells of one [Grid.cells] call share each spec's graph. The
+   build counter shows how many builds a campaign paid; the pinned
+   manifests show the shared graphs are the ones per-cell builds made. *)
+
+let grid_of s =
+  match Sweep.Grid.of_inline s with
+  | Ok g -> g
+  | Error msg -> Alcotest.fail msg
+
+(* Graph builds a thunk performs. *)
+let builds_during f =
+  let before = Sweep.Grid.graph_builds () in
+  let r = f () in
+  (Sweep.Grid.graph_builds () - before, r)
+
+let complete_campaign tag r =
+  match r with
+  | Ok r -> check Alcotest.int (tag ^ ": complete") 0 r.Simkit.Campaign.remaining
+  | Error msg -> Alcotest.fail (tag ^ ": " ^ msg)
+
+let nine_kernels = "cobra,bips,rwalk,push,pull,push-pull,explore,sis,seir"
+
+let test_memo_one_build_per_spec () =
+  List.iter
+    (fun domains ->
+      let tag = Printf.sprintf "domains=%d" domains in
+      let cells =
+        Sweep.Grid.cells
+          (grid_of ("name=equiv;graphs=random-regular:64x4;trials=3;kernels=" ^ nine_kernels))
+      in
+      let n, r =
+        builds_during (fun () -> run_campaign ~dir:(fresh_dir ()) ~domains ~resume:false cells)
+      in
+      complete_campaign tag r;
+      check Alcotest.int (tag ^ ": nine kernel cells, one build") 1 n;
+      (* The parked graph outlives the campaign with its cell list. *)
+      let n, r =
+        builds_during (fun () -> run_campaign ~dir:(fresh_dir ()) ~domains ~resume:false cells)
+      in
+      complete_campaign tag r;
+      check Alcotest.int (tag ^ ": a second campaign over the same cells builds none") 0 n)
+    [ 1; 2 ];
+  let cells =
+    Sweep.Grid.cells
+      (grid_of
+         "name=equiv;graphs=random-regular:32x4,cycle:12,ba:24x2;\
+          kernels=cobra,bips,sis,push;trials=3")
+  in
+  let n, r =
+    builds_during (fun () -> run_campaign ~dir:(fresh_dir ()) ~domains:1 ~resume:false cells)
+  in
+  complete_campaign "3 specs x 4 kernels" r;
+  check Alcotest.int "3 specs x 4 kernels at one domain: one build per spec" 3 n
+
+(* The memo keys on the master too: cells that ran at one master and
+   then run at another use the second master's graph. *)
+let test_memo_keys_on_master () =
+  let grid = grid_of "name=equiv;graphs=random-regular:32x4;kernels=cobra,bips;trials=3" in
+  let payloads cells master =
+    List.map
+      (fun c ->
+        let salt = Simkit.Campaign.salt_of_address c.Simkit.Campaign.address in
+        Json.to_string (c.Simkit.Campaign.run ~master ~salt))
+      cells
+  in
+  let shared = Sweep.Grid.cells grid in
+  let n, at7 = builds_during (fun () -> payloads shared 7) in
+  check Alcotest.int "one build at master 7" 1 n;
+  let n, at8 = builds_during (fun () -> payloads shared 8) in
+  check Alcotest.int "a new build at master 8" 1 n;
+  check Alcotest.bool "the graph depends on the master" true (at7 <> at8);
+  check (Alcotest.list Alcotest.string) "same payloads as a fresh cell list"
+    (payloads (Sweep.Grid.cells grid) 8) at8
+
+(* Manifest digests of campaigns run (name equiv, master 9) by the
+   per-cell graph builds that preceded the memo; a manifest lists every
+   cell file's digest, so equal manifests mean equal cells. *)
+let memo_goldens =
+  let rr = "graphs=random-regular:32x4,cycle:12,ba:24x2;kernels=cobra,bips,sis,push;trials=3" in
+  [
+    (rr, "dcff85cae31675798ae997df419720c0");
+    (rr ^ ";backend=bigarray", "b7f456124c687de5f418bef57b4ecbd5");
+    ( "graphs=hypercube:4,torus:4x4,cycle:12;kernels=cobra,bips,sis,push;\
+       trials=3;backend=implicit",
+      "5cfe88c327f37573ff63706b694b994c" );
+  ]
+
+let test_memo_matches_per_cell_builds () =
+  List.iter
+    (fun (grid, digest) ->
+      List.iter
+        (fun domains ->
+          let tag = Printf.sprintf "%s, domains=%d" grid domains in
+          let dir = fresh_dir () in
+          complete_campaign tag
+            (run_campaign ~dir ~domains ~resume:false
+               (Sweep.Grid.cells (grid_of ("name=equiv;" ^ grid))));
+          check Alcotest.string (tag ^ ": manifest") digest
+            (Digest.to_hex (Digest.file (Filename.concat dir "manifest.json"))))
+        [ 1; 2 ])
+    memo_goldens
+
+(* An unbuildable spec fails every cell of it with the per-cell message,
+   whether the cells run one after another or race on one build. *)
+let test_memo_failed_build () =
+  let cells =
+    Sweep.Grid.cells
+      (grid_of "name=equiv;graphs=ba:24x2;kernels=cobra,bips,sis,push;trials=2;backend=implicit")
+  in
+  let expected c =
+    c.Simkit.Campaign.address
+    ^ ": graph build failed: backend=implicit: ba:24,2: family has no closed form"
+  in
+  let outcome c =
+    match c.Simkit.Campaign.run ~master:9 ~salt:1 with
+    | _ -> Error "built"
+    | exception Failure msg -> Ok msg
+  in
+  List.iter
+    (fun c ->
+      check (Alcotest.result Alcotest.string Alcotest.string) "sequential failure"
+        (Ok (expected c)) (outcome c))
+    cells;
+  (* Every cell from two domains at once: all fail, none hangs. *)
+  let run_all () = List.map outcome cells in
+  let other = Domain.spawn run_all in
+  let here = run_all () in
+  List.iter
+    (fun got ->
+      List.iter2
+        (fun c o ->
+          check (Alcotest.result Alcotest.string Alcotest.string) "concurrent failure"
+            (Ok (expected c)) o)
+        cells got)
+    [ here; Domain.join other ];
+  match run_campaign ~dir:(fresh_dir ()) ~domains:2 ~resume:false cells with
+  | Ok _ -> Alcotest.fail "a campaign over an unbuildable spec succeeded"
+  | Error msg ->
+    check Alcotest.bool ("campaign error names the build failure: " ^ msg) true
+      (contains msg "graph build failed")
+
+(* A checkpoint whose bytes are "-" (not JSON, but number-shaped) is
+   classified corrupt and re-run on resume, like a truncated one. *)
+let test_resume_reruns_dash_checkpoint () =
+  let cells = Sweep.Grid.cells (grid_of "name=equiv;graphs=cycle:12;kernels=cobra,sis;trials=3") in
+  let dir_a = fresh_dir () and dir_b = fresh_dir () in
+  complete_campaign "reference" (run_campaign ~dir:dir_a ~domains:1 ~resume:false cells);
+  complete_campaign "to corrupt" (run_campaign ~dir:dir_b ~domains:1 ~resume:false cells);
+  let victim = Filename.concat dir_b "cells/cell_00001.json" in
+  let oc = open_out_bin victim in
+  output_string oc "-";
+  close_out oc;
+  match run_campaign ~dir:dir_b ~domains:1 ~resume:true cells with
+  | Error msg -> Alcotest.fail msg
+  | Ok r ->
+    check Alcotest.int "one corrupt checkpoint" 1 r.Simkit.Campaign.corrupted;
+    check Alcotest.int "re-ran it" 1 r.Simkit.Campaign.ran;
+    check Alcotest.int "reused the other" 1 r.Simkit.Campaign.reused;
+    check Alcotest.string "re-run cell byte-identical"
+      (read_file (Filename.concat dir_a "cells/cell_00001.json"))
+      (read_file victim)
+
 let () =
   Alcotest.run "sweep"
     [
@@ -1331,6 +1495,17 @@ let () =
             test_new_kernels_backend_identity;
           Alcotest.test_case "resume refuses changed backend" `Quick
             test_resume_refuses_changed_backend;
+          Alcotest.test_case "resume re-runs a \"-\" checkpoint as corrupt" `Quick
+            test_resume_reruns_dash_checkpoint;
+        ] );
+      ( "graph-memo",
+        [
+          Alcotest.test_case "one build per spec" `Quick test_memo_one_build_per_spec;
+          Alcotest.test_case "keys on the master" `Quick test_memo_keys_on_master;
+          Alcotest.test_case "manifests match per-cell builds" `Quick
+            test_memo_matches_per_cell_builds;
+          Alcotest.test_case "failed build fails every cell" `Quick
+            test_memo_failed_build;
         ] );
       ( "lane-engine",
         [
