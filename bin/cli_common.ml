@@ -150,3 +150,20 @@ let observation_exn o key =
   match Cobra.Kernel.observation o key with
   | Some v -> v
   | None -> failwith ("kernel observation missing: " ^ key)
+
+(* Rounds and transmissions of [trials] runs of a rumour kernel
+   ([push], [pull], [push-pull]), censored runs counted apart. *)
+let run_rumour_trials ~seed ~trials kernel g params =
+  let results =
+    Simkit.Trial.collect_censored_par ~trials ~master:seed ~salt0:0 (fun rng ->
+        let o = Cobra.Kernel.run kernel g params rng in
+        if o.Cobra.Kernel.completed then
+          Some (o.Cobra.Kernel.rounds, int_of_float (observation_exn o "transmissions"))
+        else None)
+  in
+  summarize_trials "rounds"
+    (Array.map (fun (r, _) -> Float.of_int r) results.Simkit.Trial.values)
+    results.Simkit.Trial.censored;
+  summarize_trials "transmissions"
+    (Array.map (fun (_, t) -> Float.of_int t) results.Simkit.Trial.values)
+    results.Simkit.Trial.censored

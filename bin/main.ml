@@ -658,39 +658,14 @@ let push_cmd =
   let run spec backend protocol trials seed cap =
     let g = build_graph spec ~backend ~seed in
     print_graph_line g spec;
+    let params = { K.default_params with K.start = 0; cap } in
     (match protocol with
     | `Flood ->
       let o = Cobra.Push.flood g ~start:0 in
       Printf.printf "flooding: rounds=%d transmissions=%d\n" o.Cobra.Push.rounds
         o.Cobra.Push.transmissions
-    | `Push ->
-      let params = { K.default_params with K.start = 0; cap } in
-      let results =
-        Simkit.Trial.collect_censored_par ~trials ~master:seed ~salt0:0 (fun rng ->
-            let o = K.run K.push g params rng in
-            if o.K.completed then
-              Some (o.K.rounds, int_of_float (observation_exn o "transmissions"))
-            else None)
-      in
-      summarize_trials "rounds"
-        (Array.map (fun (r, _) -> Float.of_int r) results.Simkit.Trial.values)
-        results.Simkit.Trial.censored;
-      summarize_trials "transmissions"
-        (Array.map (fun (_, t) -> Float.of_int t) results.Simkit.Trial.values)
-        results.Simkit.Trial.censored
-    | `Push_pull ->
-      let results =
-        Simkit.Trial.collect_censored_par ~trials ~master:seed ~salt0:0 (fun rng ->
-            Option.map
-              (fun o -> (o.Cobra.Push.rounds, o.Cobra.Push.transmissions))
-              (Cobra.Push.push_pull ?cap g ~start:0 rng))
-      in
-      summarize_trials "rounds"
-        (Array.map (fun (r, _) -> Float.of_int r) results.Simkit.Trial.values)
-        results.Simkit.Trial.censored;
-      summarize_trials "transmissions"
-        (Array.map (fun (_, t) -> Float.of_int t) results.Simkit.Trial.values)
-        results.Simkit.Trial.censored);
+    | `Push -> run_rumour_trials ~seed ~trials K.push g params
+    | `Push_pull -> run_rumour_trials ~seed ~trials K.push_pull g params);
     0
   in
   let doc = "Run rumour-spreading baselines (push, push-pull, flooding)." in
@@ -704,20 +679,7 @@ let pull_cmd =
     let g = build_graph spec ~backend ~seed in
     print_graph_line g spec;
     Printf.printf "pull rumour spreading, start 0, %d trials, seed %d\n" trials seed;
-    let params = { K.default_params with K.start = 0; cap } in
-    let results =
-      Simkit.Trial.collect_censored_par ~trials ~master:seed ~salt0:0 (fun rng ->
-          let o = K.run K.pull g params rng in
-          if o.K.completed then
-            Some (o.K.rounds, int_of_float (observation_exn o "transmissions"))
-          else None)
-    in
-    summarize_trials "rounds"
-      (Array.map (fun (r, _) -> Float.of_int r) results.Simkit.Trial.values)
-      results.Simkit.Trial.censored;
-    summarize_trials "transmissions"
-      (Array.map (fun (_, t) -> Float.of_int t) results.Simkit.Trial.values)
-      results.Simkit.Trial.censored;
+    run_rumour_trials ~seed ~trials K.pull g { K.default_params with K.start = 0; cap };
     0
   in
   let doc = "Run pull rumour spreading (uninformed vertices query a neighbour)." in
@@ -1093,8 +1055,6 @@ let contact_cmd =
 (* ---------- main ---------- *)
 
 let () =
-  Logs.set_reporter (Logs_fmt.reporter ());
-  Logs.set_level (Some Logs.Warning);
   let doc = "COBRA coalescing-branching walks and the dual BIPS epidemic" in
   let info = Cmd.info "cobra_cli" ~version:"1.0.0" ~doc in
   let default = Term.(ret (const (`Help (`Pager, None)))) in

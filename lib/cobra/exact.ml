@@ -758,8 +758,8 @@ let pull_step_dist g ~infected =
 
 (* One push-pull round by brute force over joint contact vectors: every
    vertex picks one uniform neighbour; information crosses each contact
-   both ways against the previous informed set, matching
-   [Push.push_pull]'s synchronous apply. *)
+   both ways against the previous informed set, matching the
+   synchronous apply of [Push.step] under [Push_pull]. *)
 let push_pull_next g mask ~add =
   let n = Graph.Csr.n_vertices g in
   let rec go u acc p =

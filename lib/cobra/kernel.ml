@@ -1,5 +1,3 @@
-module Bitset = Dstruct.Bitset
-
 type params = {
   branching : Branching.t;
   start : int;
@@ -110,191 +108,51 @@ let bips =
         });
   }
 
-(* Stepwise re-implementation of [Rwalk.cover_time] / [multi_cover_time]:
-   one step draws one uniform neighbour per walker, exactly the draws of
-   the one-shot loops. *)
 let rwalk =
   {
     name = "rwalk";
     doc = "independent simple random walk(s), run to cover";
-    default_cap =
-      (fun g ->
-        let n = Graph.View.n_vertices g in
-        (100 * n * n) + 10_000);
+    default_cap = Rwalk.default_cap;
     create =
       (fun g params ->
-        let n = Graph.View.n_vertices g in
-        if params.start < 0 || params.start >= n then
-          invalid_arg "Kernel.rwalk: start out of range";
-        if params.walkers < 1 then invalid_arg "Kernel.rwalk: walkers >= 1";
-        let seen = Bitset.create n in
-        Bitset.add seen params.start;
-        let positions = Array.make params.walkers params.start in
-        let remaining = ref (n - 1) in
-        let rounds = ref 0 in
+        let p = Rwalk.create g ~walkers:params.walkers ~start:params.start in
         {
-          step =
-            (fun rng ->
-              for w = 0 to params.walkers - 1 do
-                let next = Graph.View.unsafe_random_neighbour g rng positions.(w) in
-                positions.(w) <- next;
-                if not (Bitset.unsafe_mem seen next) then begin
-                  Bitset.unsafe_add seen next;
-                  decr remaining
-                end
-              done;
-              incr rounds);
-          is_complete = (fun () -> !remaining = 0);
-          rounds = (fun () -> !rounds);
+          step = (fun rng -> Rwalk.step p rng);
+          is_complete = (fun () -> Rwalk.is_covered p);
+          rounds = (fun () -> Rwalk.round p);
           observe =
             (fun () ->
-              [ ("rounds", fi !rounds); ("visited", fi (n - !remaining)) ]);
+              [ ("rounds", fi (Rwalk.round p)); ("visited", fi (Rwalk.visited_count p)) ]);
         });
   }
 
-(* Stepwise re-implementation of one [Push.push] round: same informed-set
-   scan order (Bitset.iter is the increasing-order word scan, matching
-   the library's loop), same checked neighbour draws, same synchronous
-   apply. *)
-let push =
+let rumour name doc protocol =
   {
-    name = "push";
-    doc = "push rumour spreading, run to full information";
-    default_cap = round_cap;
+    name;
+    doc;
+    default_cap = Push.default_cap;
     create =
       (fun g params ->
-        let n = Graph.View.n_vertices g in
-        if params.start < 0 || params.start >= n then
-          invalid_arg "Kernel.push: start out of range";
-        let informed = Bitset.create n in
-        Bitset.add informed params.start;
-        let newly = Dstruct.Intvec.create ~capacity:64 () in
-        let count = ref 1 and rounds = ref 0 and transmissions = ref 0 in
+        let p = Push.create g protocol ~start:params.start in
         {
-          step =
-            (fun rng ->
-              Dstruct.Intvec.clear newly;
-              Bitset.iter
-                (fun u ->
-                  incr transmissions;
-                  let w = Graph.View.random_neighbour g rng u in
-                  if not (Bitset.unsafe_mem informed w) then
-                    Dstruct.Intvec.push newly w)
-                informed;
-              Dstruct.Intvec.iter
-                (fun w ->
-                  if not (Bitset.unsafe_mem informed w) then begin
-                    Bitset.unsafe_add informed w;
-                    incr count
-                  end)
-                newly;
-              incr rounds);
-          is_complete = (fun () -> !count = n);
-          rounds = (fun () -> !rounds);
+          step = (fun rng -> Push.step p rng);
+          is_complete = (fun () -> Push.is_complete p);
+          rounds = (fun () -> Push.round p);
           observe =
             (fun () ->
               [
-                ("rounds", fi !rounds);
-                ("informed", fi !count);
-                ("transmissions", fi !transmissions);
+                ("rounds", fi (Push.round p));
+                ("informed", fi (Push.informed_count p));
+                ("transmissions", fi (Push.transmissions p));
               ]);
         });
   }
 
-(* Stepwise re-implementation of one [Push.pull] round: only uninformed
-   vertices draw, in increasing vertex order, then synchronous apply. *)
-let pull =
-  {
-    name = "pull";
-    doc = "pull rumour spreading, run to full information";
-    default_cap = round_cap;
-    create =
-      (fun g params ->
-        let n = Graph.View.n_vertices g in
-        if params.start < 0 || params.start >= n then
-          invalid_arg "Kernel.pull: start out of range";
-        let informed = Bitset.create n in
-        Bitset.add informed params.start;
-        let newly = Dstruct.Intvec.create ~capacity:64 () in
-        let count = ref 1 and rounds = ref 0 and transmissions = ref 0 in
-        {
-          step =
-            (fun rng ->
-              Dstruct.Intvec.clear newly;
-              for u = 0 to n - 1 do
-                if not (Bitset.mem informed u) then begin
-                  incr transmissions;
-                  let w = Graph.View.random_neighbour g rng u in
-                  if Bitset.unsafe_mem informed w then Dstruct.Intvec.push newly u
-                end
-              done;
-              Dstruct.Intvec.iter
-                (fun w ->
-                  if not (Bitset.unsafe_mem informed w) then begin
-                    Bitset.unsafe_add informed w;
-                    incr count
-                  end)
-                newly;
-              incr rounds);
-          is_complete = (fun () -> !count = n);
-          rounds = (fun () -> !rounds);
-          observe =
-            (fun () ->
-              [
-                ("rounds", fi !rounds);
-                ("informed", fi !count);
-                ("transmissions", fi !transmissions);
-              ]);
-        });
-  }
+let push = rumour "push" "push rumour spreading, run to full information" Push.Push
+let pull = rumour "pull" "pull rumour spreading, run to full information" Push.Pull
 
-(* Stepwise re-implementation of one [Push.push_pull] round: every vertex
-   contacts one random neighbour in increasing order, information crosses
-   the contact both ways, then synchronous apply (same list-prepend order
-   as the library loop). *)
 let push_pull =
-  {
-    name = "push-pull";
-    doc = "push-pull rumour spreading, run to full information";
-    default_cap = round_cap;
-    create =
-      (fun g params ->
-        let n = Graph.View.n_vertices g in
-        if params.start < 0 || params.start >= n then
-          invalid_arg "Kernel.push_pull: start out of range";
-        let informed = Bitset.create n in
-        Bitset.add informed params.start;
-        let count = ref 1 and rounds = ref 0 and transmissions = ref 0 in
-        {
-          step =
-            (fun rng ->
-              let newly = ref [] in
-              for u = 0 to n - 1 do
-                incr transmissions;
-                let w = Graph.View.random_neighbour g rng u in
-                let iu = Bitset.mem informed u and iw = Bitset.mem informed w in
-                if iu && not iw then newly := w :: !newly
-                else if iw && not iu then newly := u :: !newly
-              done;
-              List.iter
-                (fun w ->
-                  if not (Bitset.mem informed w) then begin
-                    Bitset.add informed w;
-                    incr count
-                  end)
-                !newly;
-              incr rounds);
-          is_complete = (fun () -> !count = n);
-          rounds = (fun () -> !rounds);
-          observe =
-            (fun () ->
-              [
-                ("rounds", fi !rounds);
-                ("informed", fi !count);
-                ("transmissions", fi !transmissions);
-              ]);
-        });
-  }
+  rumour "push-pull" "push-pull rumour spreading, run to full information" Push.Push_pull
 
 (* Thin wrapper over [Coalesce]: same module, same stream. *)
 let coalesce =

@@ -19,9 +19,12 @@
     consumes {e exactly} the randomness of one round of the process it
     wraps, and {!run}'s loop — step while not complete and under the
     cap — performs the same sequence of [step] calls as those loops.
-    [test/sweep] pins this stream-for-stream equivalence for all twelve
-    kernels, and [test/cli]'s golden transcripts pin the resulting CLI
-    output byte-for-byte. *)
+    Every kernel is a thin adapter over its process's module, so a
+    kernel and that module's one-shot loop share one implementation of
+    a round. [test/sweep] pins each
+    kernel's streams (against the one-shot loop, or against values
+    recorded from it), and [test/cli]'s golden transcripts pin the
+    resulting CLI output byte-for-byte. *)
 
 (** The union of the knobs the processes understand. Each kernel reads
     the fields relevant to it and ignores the rest; {!default_params}
@@ -95,28 +98,21 @@ val cobra : t
     ["rounds"; "infected"]. *)
 val bips : t
 
-(** Simple random walk(s) from [start] ([params.walkers] independent
-    walkers; 1 reproduces [Rwalk.cover_time], more reproduces
-    [Rwalk.multi_cover_time]): complete at cover. Observes
+(** Simple random walk(s) ({!Rwalk}): [params.walkers] independent
+    walkers from [start], complete at cover. Observes
     ["rounds"; "visited"]. *)
 val rwalk : t
 
-(** Push rumour spreading: complete when everyone is informed. Observes
+(** The rumour-spreading protocols of {!Push}
+    (Fountoulakis–Panagiotou, see PAPERS.md): [push] (every informed
+    vertex tells one random neighbour), [pull] (every uninformed vertex
+    asks one) and [push-pull] (every vertex calls one, and the rumour
+    crosses both ways). Complete when everyone is informed. Observe
     ["rounds"; "informed"; "transmissions"]. *)
 val push : t
 
-(** Pull rumour spreading ([Push.pull];
-    Fountoulakis–Panagiotou, see PAPERS.md): each round every uninformed
-    vertex calls one random neighbour and copies the rumour if the
-    callee knows it. Complete when everyone is informed. Observes
-    ["rounds"; "informed"; "transmissions"]. *)
 val pull : t
 
-(** Push-pull rumour spreading ([Push.push_pull];
-    Fountoulakis–Panagiotou, see PAPERS.md): each round every vertex
-    contacts one random neighbour and information crosses the contact
-    both ways. Complete when everyone is informed. Observes
-    ["rounds"; "informed"; "transmissions"]. *)
 val push_pull : t
 
 (** Coalescing random walks with voting ({!Coalesce};

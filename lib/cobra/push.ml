@@ -1,104 +1,105 @@
 module Bitset = Dstruct.Bitset
 module Intvec = Dstruct.Intvec
 
+type protocol = Push | Pull | Push_pull
+
 type outcome = { rounds : int; transmissions : int }
+
+type t = {
+  g : Graph.View.t;
+  protocol : protocol;
+  informed : Bitset.t;
+  newly : Intvec.t;
+  mutable count : int;
+  mutable round : int;
+  mutable transmissions : int;
+}
 
 let check g v =
   if v < 0 || v >= Graph.View.n_vertices g then invalid_arg "Push: vertex out of range"
 
 let default_cap g = 10_000 + (100 * Graph.View.n_vertices g)
 
-let push ?cap g ~start rng =
+let create g protocol ~start =
   check g start;
-  let n = Graph.View.n_vertices g in
-  let cap = match cap with Some c -> c | None -> default_cap g in
-  let informed = Bitset.create n in
+  let informed = Bitset.create (Graph.View.n_vertices g) in
   Bitset.add informed start;
-  let newly = Intvec.create ~capacity:64 () in
-  let count = ref 1 and rounds = ref 0 and transmissions = ref 0 in
-  while !count < n && !rounds < cap do
-    (* Collect this round's pushes against the current informed set, then
-       apply: informing is synchronous, as in the COBRA round structure.
-       [Bitset.iter] visits the informed vertices in increasing order —
-       exactly the vertices the old [for u = 0 to n - 1] membership scan
-       drew for, in the same order — but skips empty words, so early
-       sparse rounds on a large universe no longer pay O(n). [w] comes
-       from the adjacency array, hence the unchecked membership test. *)
-    Intvec.clear newly;
+  {
+    g;
+    protocol;
+    informed;
+    newly = Intvec.create ~capacity:64 ();
+    count = 1;
+    round = 0;
+    transmissions = 0;
+  }
+
+(* One synchronous round: the drawing vertices, in increasing order,
+   each call one random neighbour against the current informed set and
+   collect whom the contact informs; the apply pass then sets those
+   bits. Apply draws nothing and only sets bits, so its order cannot
+   change a result. Every draw is one message, so a round's
+   transmissions are its number of drawing vertices. [w] comes from the
+   adjacency array, hence the unchecked membership tests. *)
+let step t rng =
+  let g = t.g and informed = t.informed and newly = t.newly in
+  let n = Graph.View.n_vertices g in
+  Intvec.clear newly;
+  (match t.protocol with
+  | Push ->
+    (* Only informed vertices draw. [Bitset.iter] is the increasing-order
+       word scan, so early sparse rounds on a large universe skip empty
+       words instead of paying O(n). *)
+    t.transmissions <- t.transmissions + t.count;
     Bitset.iter
       (fun u ->
-        incr transmissions;
         let w = Graph.View.random_neighbour g rng u in
         if not (Bitset.unsafe_mem informed w) then Intvec.push newly w)
-      informed;
-    Intvec.iter
-      (fun w ->
-        if not (Bitset.unsafe_mem informed w) then begin
-          Bitset.unsafe_add informed w;
-          incr count
-        end)
-      newly;
-    incr rounds
-  done;
-  if !count = n then Some { rounds = !rounds; transmissions = !transmissions } else None
-
-let pull ?cap g ~start rng =
-  check g start;
-  let n = Graph.View.n_vertices g in
-  let cap = match cap with Some c -> c | None -> default_cap g in
-  let informed = Bitset.create n in
-  Bitset.add informed start;
-  let newly = Intvec.create ~capacity:64 () in
-  let count = ref 1 and rounds = ref 0 and transmissions = ref 0 in
-  while !count < n && !rounds < cap do
-    (* Every uninformed vertex calls one random neighbour and copies the
-       rumour if the callee knows it; informed vertices stay silent, so
-       only the uninformed side draws.  Synchronous apply, as in push. *)
-    Intvec.clear newly;
+      informed
+  | Pull ->
+    (* Only uninformed vertices draw; a caller copies the rumour if the
+       callee knows it. *)
+    t.transmissions <- t.transmissions + (n - t.count);
     for u = 0 to n - 1 do
-      if not (Bitset.mem informed u) then begin
-        incr transmissions;
+      if not (Bitset.unsafe_mem informed u) then begin
         let w = Graph.View.random_neighbour g rng u in
         if Bitset.unsafe_mem informed w then Intvec.push newly u
       end
-    done;
-    Intvec.iter
-      (fun w ->
-        if not (Bitset.unsafe_mem informed w) then begin
-          Bitset.unsafe_add informed w;
-          incr count
-        end)
-      newly;
-    incr rounds
-  done;
-  if !count = n then Some { rounds = !rounds; transmissions = !transmissions } else None
-
-let push_pull ?cap g ~start rng =
-  check g start;
-  let n = Graph.View.n_vertices g in
-  let cap = match cap with Some c -> c | None -> default_cap g in
-  let informed = Bitset.create n in
-  Bitset.add informed start;
-  let count = ref 1 and rounds = ref 0 and transmissions = ref 0 in
-  while !count < n && !rounds < cap do
-    let newly = ref [] in
+    done
+  | Push_pull ->
+    (* Every vertex draws; the rumour crosses the contact both ways. *)
+    t.transmissions <- t.transmissions + n;
     for u = 0 to n - 1 do
-      incr transmissions;
       let w = Graph.View.random_neighbour g rng u in
-      let iu = Bitset.mem informed u and iw = Bitset.mem informed w in
-      if iu && not iw then newly := w :: !newly
-      else if iw && not iu then newly := u :: !newly
-    done;
-    List.iter
-      (fun w ->
-        if not (Bitset.mem informed w) then begin
-          Bitset.add informed w;
-          incr count
-        end)
-      !newly;
-    incr rounds
+      let iu = Bitset.unsafe_mem informed u and iw = Bitset.unsafe_mem informed w in
+      if iu && not iw then Intvec.push newly w
+      else if iw && not iu then Intvec.push newly u
+    done);
+  Intvec.iter
+    (fun w ->
+      if not (Bitset.unsafe_mem informed w) then begin
+        Bitset.unsafe_add informed w;
+        t.count <- t.count + 1
+      end)
+    newly;
+  t.round <- t.round + 1
+
+let round t = t.round
+let informed_count t = t.count
+let transmissions t = t.transmissions
+let is_complete t = t.count = Graph.View.n_vertices t.g
+
+let run protocol ?cap g ~start rng =
+  let t = create g protocol ~start in
+  let cap = match cap with Some c -> c | None -> default_cap g in
+  while (not (is_complete t)) && t.round < cap do
+    step t rng
   done;
-  if !count = n then Some { rounds = !rounds; transmissions = !transmissions } else None
+  if is_complete t then Some { rounds = t.round; transmissions = t.transmissions } else None
+
+let push ?cap g ~start rng = run Push ?cap g ~start rng
+let pull ?cap g ~start rng = run Pull ?cap g ~start rng
+let push_pull ?cap g ~start rng = run Push_pull ?cap g ~start rng
 
 let flood g ~start =
   check g start;

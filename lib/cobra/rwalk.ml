@@ -8,31 +8,50 @@ let default_cap g =
   (100 * n * n) + 10_000
 
 (* The walk positions stay in range by construction ([start] is checked
-   on entry, every later position is an adjacency entry), so the loops
-   below use the unchecked CSR/bitset accessors. *)
+   on entry, every later position is an adjacency entry), so the walks
+   use the unchecked CSR/bitset accessors. *)
 
-let cover_time ?cap g ~start rng =
+type t = {
+  g : Graph.View.t;
+  positions : int array;
+  seen : Bitset.t;
+  mutable remaining : int;
+  mutable round : int;
+}
+
+let create g ~walkers ~start =
   check g start;
+  if walkers < 1 then invalid_arg "Rwalk.create: walkers >= 1";
   let n = Graph.View.n_vertices g in
-  let cap = match cap with Some c -> c | None -> default_cap g in
   let seen = Bitset.create n in
   Bitset.add seen start;
-  let rec go pos steps remaining =
-    if remaining = 0 then Some steps
-    else if steps >= cap then None
-    else begin
-      let next = Graph.View.unsafe_random_neighbour g rng pos in
-      let remaining =
-        if Bitset.unsafe_mem seen next then remaining
-        else begin
-          Bitset.unsafe_add seen next;
-          remaining - 1
-        end
-      in
-      go next (steps + 1) remaining
+  { g; positions = Array.make walkers start; seen; remaining = n - 1; round = 0 }
+
+let step t rng =
+  let positions = t.positions in
+  for w = 0 to Array.length positions - 1 do
+    let next = Graph.View.unsafe_random_neighbour t.g rng (Array.unsafe_get positions w) in
+    Array.unsafe_set positions w next;
+    if not (Bitset.unsafe_mem t.seen next) then begin
+      Bitset.unsafe_add t.seen next;
+      t.remaining <- t.remaining - 1
     end
-  in
-  go start 0 (n - 1)
+  done;
+  t.round <- t.round + 1
+
+let round t = t.round
+let visited_count t = Graph.View.n_vertices t.g - t.remaining
+let is_covered t = t.remaining = 0
+
+let multi_cover_time ?cap g ~walkers ~start rng =
+  let t = create g ~walkers ~start in
+  let cap = match cap with Some c -> c | None -> default_cap g in
+  while (not (is_covered t)) && t.round < cap do
+    step t rng
+  done;
+  if is_covered t then Some t.round else None
+
+let cover_time ?cap g ~start rng = multi_cover_time ?cap g ~walkers:1 ~start rng
 
 let hitting_time ?cap g ~start ~target rng =
   check g start;
@@ -44,29 +63,6 @@ let hitting_time ?cap g ~start ~target rng =
     else go (Graph.View.unsafe_random_neighbour g rng pos) (steps + 1)
   in
   go start 0
-
-let multi_cover_time ?cap g ~walkers ~start rng =
-  check g start;
-  if walkers < 1 then invalid_arg "Rwalk.multi_cover_time: walkers >= 1";
-  let n = Graph.View.n_vertices g in
-  let cap = match cap with Some c -> c | None -> default_cap g in
-  let seen = Bitset.create n in
-  Bitset.add seen start;
-  let positions = Array.make walkers start in
-  let remaining = ref (n - 1) in
-  let rounds = ref 0 in
-  while !remaining > 0 && !rounds < cap do
-    for w = 0 to walkers - 1 do
-      let next = Graph.View.unsafe_random_neighbour g rng positions.(w) in
-      positions.(w) <- next;
-      if not (Bitset.unsafe_mem seen next) then begin
-        Bitset.unsafe_add seen next;
-        decr remaining
-      end
-    done;
-    incr rounds
-  done;
-  if !remaining = 0 then Some !rounds else None
 
 let positions ?(steps = 1000) g ~start rng =
   check g start;

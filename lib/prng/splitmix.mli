@@ -8,8 +8,7 @@
     every simulation trial its own reproducible randomness.
 
     This is the workhorse generator of the repository: allocation-free and a
-    few ns per draw. {!Xoshiro} provides an independent 64-bit generator used
-    to cross-check statistical behaviour in tests. *)
+    few ns per draw. *)
 
 type t
 

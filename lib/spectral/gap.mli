@@ -12,8 +12,8 @@ type t = {
 
 (** [estimate ?steps rng g] computes λ for a connected regular graph by
     power iteration cross-checked against a Lanczos sweep; the two must
-    agree within [5e-4] (else the tighter Lanczos value is used and a
-    warning is logged). *)
+    agree within [5e-4], else the tighter Lanczos value is used and
+    [method_] is [Lanczos_method] ({!pp} prints it). *)
 val estimate : ?steps:int -> Prng.Rng.t -> Graph.View.t -> t
 
 (** [of_lambda ?method_ lambda] wraps an externally known λ. *)

@@ -878,7 +878,7 @@ let test_multi_walk_basics () =
   | Some t -> check Alcotest.bool "covers" true (t > 0)
   | None -> Alcotest.fail "censored");
   Alcotest.check_raises "walkers >= 1"
-    (Invalid_argument "Rwalk.multi_cover_time: walkers >= 1") (fun () ->
+    (Invalid_argument "Rwalk.create: walkers >= 1") (fun () ->
       ignore (Rwalk.multi_cover_time g ~walkers:0 ~start:0 rng))
 
 let test_multi_walk_one_equals_walk_order () =
@@ -1054,7 +1054,10 @@ let test_golden_walk_cover_times () =
 (* Recorded from the revision immediately before the word-scan bitset
    rewrite (bit-by-bit Bitset.iter, full 0..n-1 informed scans). The
    word-parallel kernels must consume the RNG streams identically, so
-   every value below must stay bit-for-bit the same. *)
+   every value below must stay bit-for-bit the same. The push-pull
+   transmissions and the pull rows were recorded later, while push, pull
+   and push-pull still had separate round loops, before they became one
+   [Push.step]. *)
 
 let test_golden_push () =
   let g = golden_graph () in
@@ -1072,7 +1075,22 @@ let test_golden_push () =
     Alcotest.(array int)
     "push_pull rounds" [| 17; 16; 18 |]
     (golden_collect ~salt0:700 ~trials:3 (fun rng ->
-         Option.map (fun o -> o.Push.rounds) (Push.push_pull g ~start:0 rng)))
+         Option.map (fun o -> o.Push.rounds) (Push.push_pull g ~start:0 rng)));
+  check
+    Alcotest.(array int)
+    "push_pull transmissions" [| 8704; 8192; 9216 |]
+    (golden_collect ~salt0:700 ~trials:3 (fun rng ->
+         Option.map (fun o -> o.Push.transmissions) (Push.push_pull g ~start:0 rng)));
+  check
+    Alcotest.(array int)
+    "pull rounds" [| 30; 28; 24 |]
+    (golden_collect ~salt0:1300 ~trials:3 (fun rng ->
+         Option.map (fun o -> o.Push.rounds) (Push.pull g ~start:0 rng)));
+  check
+    Alcotest.(array int)
+    "pull transmissions" [| 9662; 9083; 8227 |]
+    (golden_collect ~salt0:1300 ~trials:3 (fun rng ->
+         Option.map (fun o -> o.Push.transmissions) (Push.pull g ~start:0 rng)))
 
 (* Outcome encoding: Extinct t -> t, Everyone_infected_once t ->
    100000 + t, Censored t -> -t. *)

@@ -549,6 +549,91 @@ let test_one_domain_jobs_interleave () =
           | Error msg -> Alcotest.fail msg)
         [ a; b ])
 
+(* ---------- totality of the text entry points ----------
+
+   Every parser a user's bytes reach returns [Ok] or [Error] and never
+   raises: JSON documents, RPC requests, grid files and inline grids
+   (through cell expansion), graph specs, cell ids and addresses. The
+   inputs are mutations of a corpus of valid inputs and of tokens that
+   once escaped as exceptions ("-", "{\"op\":-}", ...), drawn from a
+   fixed seed so a failure reproduces. *)
+
+let totality_corpus =
+  [
+    "-"; "+"; "-e"; "1e400"; "-1e400"; "{\"a\":-}"; "{\"op\":-}"; "[-]"; "{\"schema\":";
+    "";
+    "{\"op\":\"submit\",\"client\":\"c\",\"out\":\"/tmp/o\",\"master\":7,\
+     \"resume\":false,\"grid\":\"graphs=cycle:8;kernels=cobra;trials=2\"}";
+    "{\"op\":\"status\",\"job\":1}";
+    "{\"op\":\"events\",\"job\":2}";
+    "{\"op\":\"stats\"}";
+    "{\"schema\":\"cobra.sweep-grid/1\",\"name\":\"g\",\"graphs\":[\"cycle:12\",\
+     \"ba:24,2\"],\"kernels\":[\"cobra\",\"rwalk\"],\"branching\":[\"k=2\"],\
+     \"trials\":3,\"params\":{\"walkers\":3,\"rate\":1.5,\"persistent\":true}}";
+    "name=smoke;graphs=cycle:12,complete:8,ba:24x2;kernels=cobra,bips,sis,seir;trials=3";
+    "graphs=random-regular:32x4;kernels=push,pull,push-pull;backend=bigarray;engine=lanes;cap=9";
+    "graphs=torus:4x4;kernels=rwalk;walkers=3;branching=1+0.5;start=-1";
+    "random-regular:64x4"; "ba:24,2,0.5"; "circulant:9:1+2"; "torus:3x4x5"; "er:10:0.5";
+    "0123456789abcdef0123456789abcdef:g=cycle:8;k=cobra;b=k=2";
+    "g=cycle:8;k=cobra;b=k=2";
+  ]
+
+let totality_alphabet = "-+e.0123456789:;,=x{}[]\"\\ \nabkgnu"
+
+(* A few random edits of a random corpus entry: insert, delete or
+   replace a character, repeat or truncate a slice, or splice in
+   another entry. *)
+let mutate_gen =
+  let open QCheck.Gen in
+  let corpus = Array.of_list totality_corpus in
+  let edit s =
+    let n = String.length s in
+    let* pos = int_bound n in
+    let* c = map (String.get totality_alphabet) (int_bound (String.length totality_alphabet - 1)) in
+    let* len = int_bound 8 in
+    let* other = oneofa corpus in
+    let before = String.sub s 0 pos and after = String.sub s pos (n - pos) in
+    let tail = if after = "" then "" else String.sub after 1 (String.length after - 1) in
+    let slice = String.sub after 0 (min len (String.length after)) in
+    frequency
+      [
+        (3, return (before ^ String.make 1 c ^ after));
+        (2, return (before ^ tail));
+        (3, return (before ^ String.make 1 c ^ tail));
+        (1, return (before ^ slice ^ after));
+        (1, return before);
+        (1, return (before ^ other));
+      ]
+  in
+  let rec edits k s = if k = 0 then return s else edit s >>= edits (k - 1) in
+  let* s = oneofa corpus in
+  let* k = int_range 1 4 in
+  map (fun s -> if String.length s > 512 then String.sub s 0 512 else s) (edits k s)
+
+(* [Ok]/[Error] both count; only an exception fails. *)
+let total f x = match f x with Ok _ | Error _ -> true
+
+let entry_points_total s =
+  (match Json.of_string s with
+  | Error _ -> true
+  | Ok j ->
+    total Protocol.request_of_json j
+    && total (fun j -> Result.map Sweep.Grid.cells (Sweep.Grid.of_json j)) j)
+  && total (fun s -> Result.map Sweep.Grid.cells (Sweep.Grid.of_inline s)) s
+  && total Graph.Spec.parse s
+  && total Simkit.Cellid.of_string s
+  && total Simkit.Cellid.parts_of_address s
+
+let totality_prop =
+  QCheck.Test.make ~name:"mutated inputs parse to Ok or Error" ~count:100_000
+    (QCheck.make ~print:(Printf.sprintf "%S") mutate_gen)
+    entry_points_total
+
+let test_totality_corpus () =
+  List.iter
+    (fun s -> check Alcotest.bool (Printf.sprintf "%S" s) true (entry_points_total s))
+    totality_corpus
+
 let () =
   Alcotest.run "serve"
     [
@@ -560,6 +645,11 @@ let () =
           Alcotest.test_case "error kinds round-trip" `Quick
             test_error_kinds_roundtrip;
           Alcotest.test_case "response shapes" `Quick test_response_shapes;
+        ] );
+      ( "totality",
+        [
+          Alcotest.test_case "corpus parses to Ok or Error" `Quick test_totality_corpus;
+          QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 14 |]) totality_prop;
         ] );
       ( "daemon",
         [

@@ -53,66 +53,47 @@ let test_bips_stream () =
       (if o.K.completed then Some o.K.rounds else None)
   done
 
+(* The walk and rumour kernels share their step with the one-shot
+   drivers, so comparing the two would compare a function with itself.
+   These pin the kernels' (rounds, transmissions) on seeds 1..5 to the
+   values the one-shot drivers [Rwalk.cover_time],
+   [Rwalk.multi_cover_time], [Push.push], [Push.pull] and
+   [Push.push_pull] gave on the same streams while the two were
+   separate implementations. Censored runs read -1 rounds; the walk
+   reports no transmissions (0). *)
+let pinned_runs kernel g params =
+  List.init 5 (fun i ->
+      let o = K.run kernel g params (Rng.create (i + 1)) in
+      ( (if o.K.completed then o.K.rounds else -1),
+        Option.fold ~none:0 ~some:int_of_float (K.observation o "transmissions") ))
+
+let check_pinned name expect kernel g params =
+  check Alcotest.(list (pair int int)) name expect (pinned_runs kernel g params)
+
 let test_rwalk_stream () =
-  let g = Gen.cycle 10 in
-  for seed = 1 to 5 do
-    let o = K.run K.rwalk g p0 (Rng.create seed) in
-    let expect = Cobra.Rwalk.cover_time g ~start:0 (Rng.create seed) in
-    check Alcotest.(option int) "walk cover time" expect
-      (if o.K.completed then Some o.K.rounds else None)
-  done
+  check_pinned "walk cover time"
+    [ (63, 0); (69, 0); (20, 0); (30, 0); (13, 0) ]
+    K.rwalk (Gen.cycle 10) p0
 
 let test_rwalk_multi_stream () =
-  let g = Gen.cycle 12 in
-  let params = { p0 with K.walkers = 3 } in
-  for seed = 1 to 5 do
-    let o = K.run K.rwalk g params (Rng.create seed) in
-    let expect = Cobra.Rwalk.multi_cover_time g ~walkers:3 ~start:0 (Rng.create seed) in
-    check Alcotest.(option int) "multi-walk cover time" expect
-      (if o.K.completed then Some o.K.rounds else None)
-  done
+  check_pinned "multi-walk cover time"
+    [ (52, 0); (16, 0); (22, 0); (35, 0); (14, 0) ]
+    K.rwalk (Gen.cycle 12) { p0 with K.walkers = 3 }
 
 let test_push_stream () =
-  let g = Gen.complete 15 in
-  for seed = 1 to 5 do
-    let o = K.run K.push g p0 (Rng.create seed) in
-    match Cobra.Push.push g ~start:0 (Rng.create seed) with
-    | None -> Alcotest.fail "one-shot push capped unexpectedly"
-    | Some e ->
-      check Alcotest.bool "completed" true o.K.completed;
-      check Alcotest.int "rounds" e.Cobra.Push.rounds o.K.rounds;
-      check (Alcotest.option (Alcotest.float 0.0)) "transmissions"
-        (Some (float_of_int e.Cobra.Push.transmissions))
-        (K.observation o "transmissions")
-  done
+  check_pinned "push"
+    [ (7, 45); (7, 49); (6, 35); (6, 39); (7, 45) ]
+    K.push (Gen.complete 15) p0
 
 let test_pull_stream () =
-  let g = Gen.complete 15 in
-  for seed = 1 to 5 do
-    let o = K.run K.pull g p0 (Rng.create seed) in
-    match Cobra.Push.pull g ~start:0 (Rng.create seed) with
-    | None -> Alcotest.fail "one-shot pull capped unexpectedly"
-    | Some e ->
-      check Alcotest.bool "completed" true o.K.completed;
-      check Alcotest.int "rounds" e.Cobra.Push.rounds o.K.rounds;
-      check (Alcotest.option (Alcotest.float 0.0)) "transmissions"
-        (Some (float_of_int e.Cobra.Push.transmissions))
-        (K.observation o "transmissions")
-  done
+  check_pinned "pull"
+    [ (5, 44); (9, 91); (6, 55); (7, 65); (7, 75) ]
+    K.pull (Gen.complete 15) p0
 
 let test_push_pull_stream () =
-  let g = Gen.cycle 14 in
-  for seed = 1 to 5 do
-    let o = K.run K.push_pull g p0 (Rng.create seed) in
-    match Cobra.Push.push_pull g ~start:0 (Rng.create seed) with
-    | None -> Alcotest.fail "one-shot push-pull capped unexpectedly"
-    | Some e ->
-      check Alcotest.bool "completed" true o.K.completed;
-      check Alcotest.int "rounds" e.Cobra.Push.rounds o.K.rounds;
-      check (Alcotest.option (Alcotest.float 0.0)) "transmissions"
-        (Some (float_of_int e.Cobra.Push.transmissions))
-        (K.observation o "transmissions")
-  done
+  check_pinned "push-pull"
+    [ (9, 126); (11, 154); (9, 126); (10, 140); (8, 112) ]
+    K.push_pull (Gen.cycle 14) p0
 
 let test_coalesce_stream () =
   (* Non-bipartite so consensus is reachable: synchronous clusters in
@@ -1342,7 +1323,10 @@ let test_memo_keys_on_master () =
 
 (* Manifest digests of campaigns run (name equiv, master 9) by the
    per-cell graph builds that preceded the memo; a manifest lists every
-   cell file's digest, so equal manifests mean equal cells. *)
+   cell file's digest, so equal manifests mean equal cells. The last
+   entry was recorded while the walk and rumour kernels still had
+   their own step loops, before they became adapters over [Rwalk] and
+   [Push]. *)
 let memo_goldens =
   let rr = "graphs=random-regular:32x4,cycle:12,ba:24x2;kernels=cobra,bips,sis,push;trials=3" in
   [
@@ -1351,6 +1335,9 @@ let memo_goldens =
     ( "graphs=hypercube:4,torus:4x4,cycle:12;kernels=cobra,bips,sis,push;\
        trials=3;backend=implicit",
       "5cfe88c327f37573ff63706b694b994c" );
+    ( "graphs=random-regular:32x4,cycle:12;kernels=rwalk,push,pull,push-pull;\
+       walkers=3;trials=3",
+      "49e6108062b67dd0135919b01ff707d7" );
   ]
 
 let test_memo_matches_per_cell_builds () =
